@@ -15,18 +15,17 @@ package ccomm_test
 //	BenchmarkAblation… design-choice ablations (coloring priority, AAPC
 //	                   ranking, tie policy)
 //
-// cmd/cctables and cmd/ccsim print the same data in the paper's row format.
+// cmd/cctables prints the same data in the paper's row format.
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	ccomm "repro"
-	"repro/internal/adaptive"
 	"repro/internal/apps"
 	"repro/internal/benes"
-	"repro/internal/embed"
 	"repro/internal/multihop"
 	"repro/internal/network"
 	"repro/internal/patterns"
@@ -688,36 +687,6 @@ func BenchmarkExtensionCentralized(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionEmbedding compares logical-rank embeddings for the
-// hypercube pattern: identity (the paper's implicit choice) versus the
-// Gray-code embedding that makes bit neighbors near neighbors.
-func BenchmarkExtensionEmbedding(b *testing.B) {
-	set, err := patterns.Hypercube(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gray, err := embed.GrayTorus(benchTorus)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range []struct {
-		name string
-		m    embed.Mapping
-	}{{"identity", embed.Identity(64)}, {"gray", gray}} {
-		b.Run(row.name, func(b *testing.B) {
-			var deg int
-			for i := 0; i < b.N; i++ {
-				d, _, err := embed.Cost(benchTorus, schedule.Combined{}, set, row.m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				deg = d
-			}
-			b.ReportMetric(float64(deg), "degree")
-		})
-	}
-}
-
 // BenchmarkExtensionMultihop runs the comparison the paper's section 3.3
 // defers: serving compile-time-unknown traffic via a statically embedded
 // virtual hypercube (multihop emulation, shallow TDM frame) versus the
@@ -768,28 +737,6 @@ func BenchmarkExtensionMultihop(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAdaptiveRouting measures the gain from letting the
-// compiler choose X-then-Y or Y-then-X per connection instead of fixing
-// dimension order globally.
-func BenchmarkExtensionAdaptiveRouting(b *testing.B) {
-	sets := randomSets(b, 1000, 10)
-	b.Run("fixed-xy", func(b *testing.B) {
-		reportDegree(b, schedule.Greedy{}, sets)
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		sum, count := 0, 0
-		for i := 0; i < b.N; i++ {
-			plan, err := adaptive.Schedule(benchTorus, sets[i%len(sets)], nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sum += plan.Degree()
-			count++
-		}
-		b.ReportMetric(float64(sum)/float64(count), "degree")
-	})
-}
-
 // --- Parallel scheduling pipeline --------------------------------------------
 
 // withGraphBuildKnobs runs fn with the conflict-graph build knobs overridden
@@ -808,12 +755,14 @@ func withGraphBuildKnobs(cutoff, workers int, fn func()) {
 // from the pre-parallel pipeline to the current default, switching one stage
 // on per rung:
 //
-//	baseline       sequential Combined, serial graph build, routes recomputed
+//	baseline       GOMAXPROCS=1 (sequential Combined, serial graph build),
+//	               routes recomputed
 //	routes-warm    + route cache serving every (s,d) lookup
-//	sharded-graph  + parallel conflict-graph row construction
-//	parallel       + Combined racing its member schedulers (the default)
+//	parallel       + parallel graph build and Combined racing its member
+//	               schedulers (the default)
 //
-// The headline comparison is baseline vs parallel. All rungs produce
+// BenchmarkConflictGraphBuild isolates the graph-build stage. The headline
+// comparison is baseline vs parallel. All rungs produce
 // byte-identical schedules (see internal/schedule/determinism_test.go); only
 // the wall clock may differ.
 func BenchmarkCombinedPipeline(b *testing.B) {
@@ -824,26 +773,26 @@ func BenchmarkCombinedPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	configs := []struct {
-		name        string
-		sched       schedule.Combined
-		serialGraph bool
-		coldRoutes  bool
+		name       string
+		sequential bool
+		coldRoutes bool
 	}{
-		{"baseline", schedule.Combined{Sequential: true}, true, true},
-		{"routes-warm", schedule.Combined{Sequential: true}, true, false},
-		{"sharded-graph", schedule.Combined{Sequential: true}, false, false},
-		{"parallel", schedule.Combined{}, false, false},
+		{"baseline", true, true},
+		{"routes-warm", true, false},
+		{"parallel", false, false},
 	}
+	sched := schedule.Combined{}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
 			workers := 0
-			if cfg.serialGraph {
+			if cfg.sequential {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 				workers = 1
 			}
 			withGraphBuildKnobs(schedule.ConflictGraphParallelCutoff, workers, func() {
 				network.InvalidateRoutes(benchTorus)
 				if !cfg.coldRoutes {
-					if _, err := cfg.sched.Schedule(benchTorus, set); err != nil {
+					if _, err := sched.Schedule(benchTorus, set); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -852,7 +801,7 @@ func BenchmarkCombinedPipeline(b *testing.B) {
 					if cfg.coldRoutes {
 						network.InvalidateRoutes(benchTorus)
 					}
-					res, err := cfg.sched.Schedule(benchTorus, set)
+					res, err := sched.Schedule(benchTorus, set)
 					if err != nil {
 						b.Fatal(err)
 					}

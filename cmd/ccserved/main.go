@@ -49,7 +49,7 @@ import (
 var (
 	addrFlag     = flag.String("addr", ":8080", "listen address")
 	topologyFlag = flag.String("topology", "torus-8x8", "default network compiled against")
-	algFlag      = flag.String("alg", "combined", "default scheduling algorithm: combined, combined-seq, greedy, coloring, aapc, exact")
+	algFlag      = flag.String("alg", "combined", "default scheduling algorithm: combined, greedy, coloring, aapc, exact")
 	workersFlag  = flag.Int("workers", 0, "compile worker pool size (0 = GOMAXPROCS)")
 	queueFlag    = flag.Int("queue", 64, "admission queue depth; requests beyond workers+queue get 429")
 	cacheFlag    = flag.Int("cache", 256, "schedule cache entries (LRU)")

@@ -3,6 +3,7 @@ package delta_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/delta"
@@ -239,12 +240,20 @@ func TestPatchDeterminism(t *testing.T) {
 	target := append(base.Clone()[:280], extraPool...)
 
 	var first []byte
-	for i, opt := range []delta.Options{
-		{},
-		{Scheduler: schedule.Combined{Sequential: true}},
-		{Scheduler: schedule.Greedy{}},
+	for i, v := range []struct {
+		opt        delta.Options
+		sequential bool // Combined's GOMAXPROCS=1 path
+	}{
+		{delta.Options{}, false},
+		{delta.Options{Scheduler: schedule.Combined{}}, true},
+		{delta.Options{Scheduler: schedule.Greedy{}}, false},
 	} {
-		res, st, err := delta.Recompile(torus, baseRes, target, opt)
+		procs := runtime.GOMAXPROCS(0)
+		if v.sequential {
+			runtime.GOMAXPROCS(1)
+		}
+		res, st, err := delta.Recompile(torus, baseRes, target, v.opt)
+		runtime.GOMAXPROCS(procs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package experiments generates the paper's evaluation tables as data —
-// the single implementation behind the cmd/cctables and cmd/ccsim tools and
-// the root benchmark harness, so the numbers in every output channel come
-// from one tested code path.
+// the single implementation behind the cmd/cctables tool and the root
+// benchmark harness, so the numbers in every output channel come from one
+// tested code path.
 package experiments
 
 import (
@@ -139,6 +139,9 @@ func Table1(t network.Topology, cfg Table1Config) ([]Table1Row, error) {
 		sizes = []int{100, 400, 800, 1200, 1600, 2000, 2400, 2800, 3200, 3600, 4000}
 	}
 	trials := cfg.Trials
+	if trials < 0 {
+		return nil, fmt.Errorf("experiments: Table 1 needs a non-negative trial count, got %d", trials)
+	}
 	if trials == 0 {
 		trials = 100
 	}
@@ -220,6 +223,9 @@ func table2Buckets() []Table2Row {
 // Table2 runs the random-redistribution sweep.
 func Table2(t network.Topology, cfg Table2Config) ([]Table2Row, error) {
 	n := cfg.Redistributions
+	if n < 0 {
+		return nil, fmt.Errorf("experiments: Table 2 needs a non-negative redistribution count, got %d", n)
+	}
 	if n == 0 {
 		n = 500
 	}
@@ -350,9 +356,6 @@ func Table3(t network.Topology) ([]Table3Row, error) {
 type Table5Config struct {
 	// FixedDegrees are the dynamic-control degrees; nil means {1, 2, 5, 10}.
 	FixedDegrees []int
-	// Params builds the dynamic simulator parameters per degree; nil means
-	// sim.DefaultParams.
-	Params func(degree int) sim.Params
 	// GSSizes, P3MSizes select problem sizes; nil means the paper's.
 	GSSizes, P3MSizes []int
 	// Workers bounds the worker pool for the per-row scheduling and the
@@ -377,10 +380,6 @@ func Table5(t network.Topology, cfg Table5Config) ([]Table5Row, error) {
 	fixed := cfg.FixedDegrees
 	if fixed == nil {
 		fixed = []int{1, 2, 5, 10}
-	}
-	params := cfg.Params
-	if params == nil {
-		params = sim.DefaultParams
 	}
 	gsSizes := cfg.GSSizes
 	if gsSizes == nil {
@@ -450,7 +449,7 @@ func Table5(t network.Topology, cfg Table5Config) ([]Table5Row, error) {
 	}
 	cells, err := RunSweep(len(work)*len(fixed), cfg.Workers, 0, func(ci int, _ *rand.Rand) (cell, error) {
 		w, k := work[ci/len(fixed)], fixed[ci%len(fixed)]
-		s, err := sim.NewSimulator(t, params(k))
+		s, err := sim.NewSimulator(t, sim.DefaultParams(k))
 		if err != nil {
 			return cell{}, fmt.Errorf("%s %s K=%d: %w", w.pattern, w.size, k, err)
 		}

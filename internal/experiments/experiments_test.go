@@ -217,3 +217,35 @@ func TestAlgorithmNamesAligned(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCountsValidated: a negative trial or redistribution count is
+// reported as an error instead of panicking inside the sweep.
+func TestSweepCountsValidated(t *testing.T) {
+	torus := topology.NewTorus(8, 8)
+	table1 := func(trials int) error {
+		_, err := experiments.Table1(torus, experiments.Table1Config{Sizes: []int{100}, Trials: trials, Seed: 1996})
+		return err
+	}
+	table2 := func(redists int) error {
+		_, err := experiments.Table2(torus, experiments.Table2Config{Redistributions: redists, Seed: 1996})
+		return err
+	}
+	for _, tc := range []struct {
+		name    string
+		run     func(int) error
+		count   int
+		wantErr bool
+	}{
+		{"table1/trials=-5", table1, -5, true},
+		{"table1/trials=-1", table1, -1, true},
+		{"table1/trials=1", table1, 1, false},
+		{"table2/redists=-1", table2, -1, true},
+		{"table2/redists=1", table2, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(tc.count); (err != nil) != tc.wantErr {
+				t.Fatalf("error = %v, want error %v", err, tc.wantErr)
+			}
+		})
+	}
+}

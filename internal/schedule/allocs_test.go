@@ -1,6 +1,7 @@
 package schedule_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/request"
@@ -46,18 +47,22 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	rng := splitmix64(42)
 	reqs := randomPattern(&rng, 64, 128)
 	cases := []struct {
-		name string
-		s    schedule.Scheduler
+		name       string
+		s          schedule.Scheduler
+		sequential bool // warm up on the GOMAXPROCS=1 path as well
 	}{
-		{"greedy", schedule.Greedy{}},
-		{"coloring", schedule.Coloring{}},
-		{"aapc", schedule.OrderedAAPC{}},
-		{"combined-seq", schedule.Combined{Sequential: true}},
-		{"combined", schedule.Combined{}},
+		{"greedy", schedule.Greedy{}, false},
+		{"coloring", schedule.Coloring{}, false},
+		{"aapc", schedule.OrderedAAPC{}, false},
+		{"combined-seq", schedule.Combined{}, true},
+		{"combined", schedule.Combined{}, false},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
+			if c.sequential {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			}
 			if n := compileSteadyAllocs(t, c.s, reqs); n != 0 {
 				t.Fatalf("steady-state Compile allocates %.1f per run, want 0", n)
 			}

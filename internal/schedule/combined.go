@@ -23,16 +23,10 @@ import (
 // is reported first, exactly as in sequential order, regardless of which
 // goroutine failed first in wall-clock time. On a single-core runtime
 // (GOMAXPROCS=1) the race is pure overhead, so the members run sequentially
-// there regardless of the knob.
+// there.
 type Combined struct {
 	coloring Coloring
 	aapc     OrderedAAPC
-	// Sequential disables the two-goroutine fan-out and runs the member
-	// schedulers one after the other. Output is identical either way; the
-	// knob exists for the differential determinism tests, single-core
-	// deployments, and callers that already saturate every core with
-	// pattern-level parallelism.
-	Sequential bool
 }
 
 // Name implements Scheduler.
@@ -77,7 +71,7 @@ func (c Combined) scheduleInto(st *CompileState, t network.Topology, reqs reques
 	}
 	var col, ap *Result
 	var colErr, apErr error
-	if c.Sequential || runtime.GOMAXPROCS(0) == 1 {
+	if runtime.GOMAXPROCS(0) == 1 {
 		col, colErr = c.coloring.scheduleInto(st, t, reqs)
 		if colErr != nil {
 			return nil, colErr

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -28,6 +29,16 @@ func determinismTopologies() []network.Topology {
 		topology.NewHypercube(4),
 		topology.NewOmega(16),
 	}
+}
+
+// sequential runs a scheduler with GOMAXPROCS pinned to 1, which puts
+// Combined on its single-goroutine path. Tests here never call t.Parallel,
+// so the process-wide setting is restored before anything else schedules.
+type sequential struct{ schedule.Scheduler }
+
+func (s sequential) Schedule(t network.Topology, reqs request.Set) (*schedule.Result, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return s.Scheduler.Schedule(t, reqs)
 }
 
 // requireIdentical asserts two schedules are byte-identical: same algorithm
@@ -62,7 +73,7 @@ func TestCombinedParallelMatchesSequential(t *testing.T) {
 		}
 		for i, set := range sets {
 			label := fmt.Sprintf("%s/set-%d", topo.Name(), i)
-			seq, err := schedule.Combined{Sequential: true}.Schedule(topo, set)
+			seq, err := sequential{schedule.Combined{}}.Schedule(topo, set)
 			if err != nil {
 				t.Fatalf("%s: sequential: %v", label, err)
 			}
@@ -120,7 +131,7 @@ func TestCombinedParallelSharedTopology(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i], err = schedule.Combined{Sequential: true}.Schedule(torus, sets[i])
+		refs[i], err = sequential{schedule.Combined{}}.Schedule(torus, sets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,12 +237,12 @@ func TestConflictGraphShardedLargeDegreesMatch(t *testing.T) {
 }
 
 // TestCombinedSequentialKnobEquivalence pins the zero-value contract: the
-// zero Combined{} is the parallel scheduler and must agree with the
-// documented Sequential escape hatch on the paper's own workload.
+// zero Combined{} races its members and must agree with its single-core
+// (GOMAXPROCS=1) path on the paper's own workload.
 func TestCombinedSequentialKnobEquivalence(t *testing.T) {
 	torus := topology.NewTorus(8, 8)
 	set := patterns.AllToAll(64)
-	seq, err := schedule.Combined{Sequential: true}.Schedule(torus, set)
+	seq, err := sequential{schedule.Combined{}}.Schedule(torus, set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,8 +90,7 @@ func schedulerPairs() []schedulerPair {
 		{"aapc-unranked", schedule.OrderedAAPC{DisableRanking: true},
 			schedule.OracleOrderedAAPC{DisableRanking: true}},
 		{"combined", schedule.Combined{}, schedule.OracleCombined{}},
-		{"combined-seq", schedule.Combined{Sequential: true},
-			schedule.OracleCombined{Sequential: true}},
+		{"combined-seq", sequential{schedule.Combined{}}, schedule.OracleCombined{}},
 	}
 }
 

@@ -198,7 +198,7 @@ func FuzzCombinedParallelDeterminism(f *testing.F) {
 				set = append(set, request.Request{Src: s, Dst: d})
 			}
 		}
-		seq, err := schedule.Combined{Sequential: true}.Schedule(torus, set)
+		seq, err := sequential{schedule.Combined{}}.Schedule(torus, set)
 		if err != nil {
 			t.Fatal(err)
 		}

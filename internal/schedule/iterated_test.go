@@ -66,84 +66,3 @@ func TestIteratedGreedyDeterministic(t *testing.T) {
 		t.Error("same seed produced different degrees")
 	}
 }
-
-func TestOptimizeSlotOrder(t *testing.T) {
-	torus := topology.NewTorus(8, 8)
-	// Two independent circuits forced into different slots by a shared
-	// source, with very different message lengths.
-	set := request.Set{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}
-	res, err := schedule.Greedy{}.Schedule(torus, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degree() != 2 {
-		t.Fatalf("degree %d, want 2", res.Degree())
-	}
-	flits := map[request.Request]int{
-		set[0]: 1,
-		set[1]: 100, // the long message should get slot 0
-	}
-	opt := schedule.OptimizeSlotOrder(res, flits)
-	if err := opt.Validate(set); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Slot[set[1]] != 0 {
-		t.Errorf("long message in slot %d, want 0", opt.Slot[set[1]])
-	}
-	// Completion improves by exactly the slot shift when the long message
-	// started in slot 1.
-	if res.Slot[set[1]] == 1 {
-		before := res.Slot[set[1]] + 1 + 99*2
-		after := 0 + 1 + 99*2
-		if before-after != 1 {
-			t.Fatalf("expected a 1-slot gain, got %d", before-after)
-		}
-	}
-}
-
-func TestOptimizeSlotOrderSingleSlotNoop(t *testing.T) {
-	torus := topology.NewTorus(8, 8)
-	set := request.Set{{Src: 0, Dst: 1}}
-	res, err := schedule.Greedy{}.Schedule(torus, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := schedule.OptimizeSlotOrder(res, nil); got != res {
-		t.Error("single-slot schedule should be returned unchanged")
-	}
-}
-
-func TestOptimizeSlotOrderPreservesValidity(t *testing.T) {
-	torus := topology.NewTorus(8, 8)
-	set := patterns.AllToAll(64)
-	res, err := schedule.OrderedAAPC{}.Schedule(torus, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flits := map[request.Request]int{}
-	rng := rand.New(rand.NewSource(1))
-	for _, r := range set {
-		flits[r] = 1 + rng.Intn(64)
-	}
-	opt := schedule.OptimizeSlotOrder(res, flits)
-	if err := opt.Validate(set); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Degree() != res.Degree() {
-		t.Error("slot reordering changed the degree")
-	}
-	// Max flits per slot must be non-increasing.
-	prev := 1 << 30
-	for _, cfg := range opt.Configs {
-		max := 0
-		for _, r := range cfg {
-			if flits[r] > max {
-				max = flits[r]
-			}
-		}
-		if max > prev {
-			t.Fatal("slots not ordered by descending longest message")
-		}
-		prev = max
-	}
-}

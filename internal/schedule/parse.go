@@ -4,7 +4,7 @@ import "fmt"
 
 // ParseScheduler resolves a scheduling-algorithm name to its implementation.
 // The names match the -alg flags of the cmd/ tools and the compile service's
-// alg parameter: greedy, coloring, aapc, combined, combined-seq, exact. An
+// alg parameter: greedy, coloring, aapc, combined, exact. An
 // empty name selects the compiler's default, the paper's combined algorithm.
 // (Moved here from internal/cliutil so that low-level packages can share
 // cliutil without importing the scheduler stack.)
@@ -12,8 +12,6 @@ func ParseScheduler(name string) (Scheduler, error) {
 	switch name {
 	case "", "combined":
 		return Combined{}, nil
-	case "combined-seq":
-		return Combined{Sequential: true}, nil
 	case "greedy":
 		return Greedy{}, nil
 	case "coloring":
@@ -23,6 +21,6 @@ func ParseScheduler(name string) (Scheduler, error) {
 	case "exact":
 		return Exact{}, nil
 	default:
-		return nil, fmt.Errorf("schedule: unknown scheduler %q (want greedy, coloring, aapc, combined, combined-seq or exact)", name)
+		return nil, fmt.Errorf("schedule: unknown scheduler %q (want greedy, coloring, aapc, combined or exact)", name)
 	}
 }

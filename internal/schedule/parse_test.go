@@ -8,13 +8,12 @@ import (
 
 func TestParseScheduler(t *testing.T) {
 	for name, want := range map[string]string{
-		"":             "combined",
-		"combined":     "combined",
-		"combined-seq": "combined",
-		"greedy":       "greedy",
-		"coloring":     "coloring",
-		"aapc":         "aapc",
-		"exact":        "exact",
+		"":         "combined",
+		"combined": "combined",
+		"greedy":   "greedy",
+		"coloring": "coloring",
+		"aapc":     "aapc",
+		"exact":    "exact",
 	} {
 		sch, err := schedule.ParseScheduler(name)
 		if err != nil {
@@ -24,10 +23,9 @@ func TestParseScheduler(t *testing.T) {
 			t.Fatalf("ParseScheduler(%q).Name() = %q, want %q", name, sch.Name(), want)
 		}
 	}
-	if _, err := schedule.ParseScheduler("nope"); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-	if c, _ := schedule.ParseScheduler("combined-seq"); !c.(schedule.Combined).Sequential {
-		t.Fatal("combined-seq not sequential")
+	for _, name := range []string{"nope", "combined-seq"} {
+		if _, err := schedule.ParseScheduler(name); err == nil {
+			t.Fatalf("unknown scheduler %q accepted", name)
+		}
 	}
 }

@@ -501,16 +501,10 @@ func (s *Server) ArtifactKeys() []string {
 	return keys
 }
 
-// ArtifactGet returns a warm artifact — cache or store — and never
-// compiles. It backs the cluster's /peer/fetch endpoint.
-func (s *Server) ArtifactGet(key string) (json.RawMessage, bool) {
-	raw, _, ok := s.ArtifactGetOwned(key)
-	return raw, ok
-}
-
-// ArtifactGetOwned is ArtifactGet plus the tenant the artifact is billed
-// to, so the cluster fetch path can replicate ownership alongside content
-// and the receiving daemon bills the copy to the same class.
+// ArtifactGetOwned returns a warm artifact — cache or store — and the
+// tenant it is billed to, and never compiles. It backs the cluster's
+// /peer/fetch endpoint, which replicates ownership alongside content so
+// the receiving daemon bills the copy to the same class.
 func (s *Server) ArtifactGetOwned(key string) (json.RawMessage, string, bool) {
 	if v, tenant, ok := s.cache.GetOwned(key); ok {
 		return v, tenant, true
@@ -523,15 +517,9 @@ func (s *Server) ArtifactGetOwned(key string) (json.RawMessage, string, bool) {
 	return nil, "", false
 }
 
-// ArtifactPut installs an artifact fetched from a cluster peer into the
-// cache and (best-effort) the store, billed to the default tenant. See
-// ArtifactPutOwned.
-func (s *Server) ArtifactPut(key string, raw json.RawMessage) {
-	s.ArtifactPutOwned(key, "", raw)
-}
-
-// ArtifactPutOwned installs a replicated artifact billed to a tenant, so it
-// is served as a local hit from now on and counts against the owner's
+// ArtifactPutOwned installs an artifact fetched from a cluster peer into
+// the cache and (best-effort) the store, billed to a tenant, so it is
+// served as a local hit from now on and counts against the owner's
 // quotas, not the default tenant's. Compilation is deterministic and keys
 // are content hashes, so a replicated artifact is byte-identical to what
 // this daemon would have compiled itself.

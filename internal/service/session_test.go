@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"sort"
@@ -58,6 +60,73 @@ func mixedDoc(t *testing.T) trace.Document {
 		{Name: "ring-again", Messages: ring()},
 	}}
 	return trace.FromProgram(prog, 64)
+}
+
+// moeDriftDoc is a drifting top-2 MoE dispatch on 64 ranks: round 0 is the
+// collective.MoEAllToAll dispatch, and each later round moves one selected
+// expert of three ranks, the way a learned gate drifts between steps.
+func moeDriftDoc(t *testing.T, rounds int) trace.Document {
+	t.Helper()
+	coll, err := collective.MoEAllToAll(64, 2, 256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := coll.Program(4).Phases[0].Messages
+	rng := rand.New(rand.NewSource(1))
+	prog := core.Program{Name: "moe-drift"}
+	for r := 0; r < rounds; r++ {
+		if r > 0 {
+			msgs = append([]sim.Message(nil), msgs...)
+			for moved := 0; moved < 3; moved++ {
+				m := &msgs[rng.Intn(len(msgs))]
+				m.Dst = newExpert(rng, msgs, m.Src)
+			}
+		}
+		prog.Phases = append(prog.Phases, core.Phase{Name: fmt.Sprintf("moe dispatch %d", r), Messages: msgs})
+	}
+	return trace.FromProgram(prog, 64)
+}
+
+// newExpert draws an expert for rank src that it neither is nor selects.
+func newExpert(rng *rand.Rand, msgs []sim.Message, src int) int {
+	for {
+		e := rng.Intn(64)
+		held := e == src
+		for _, m := range msgs {
+			held = held || (m.Src == src && m.Dst == e)
+		}
+		if !held {
+			return e
+		}
+	}
+}
+
+// TestSessionMoEDriftHidesReconfiguration pins the workload where the
+// overlap model strictly wins: when a few circuits drift every round, part
+// of each boundary's register load hides under the previous phase, so the
+// overlapped plan is shorter than the serialized one.
+func TestSessionMoEDriftHidesReconfiguration(t *testing.T) {
+	_, c := newTestServer(t, service.Config{})
+	doc := moeDriftDoc(t, 6)
+	res, err := c.Session(context.Background(), doc, client.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := 0
+	for _, ph := range res.Phases {
+		hidden += ph.Hidden
+	}
+	tr := res.Trailer
+	t.Logf("hidden %d, serialized %d, overlapped %d, decisions %v", hidden, tr.SerializedSlots, tr.TotalSlots, tr.Decisions)
+	if hidden == 0 {
+		t.Fatal("no phase hid any reconfiguration slots")
+	}
+	if tr.SerializedSlots <= tr.TotalSlots {
+		t.Fatalf("serialized %d slots, overlapped %d: want overlap strictly shorter", tr.SerializedSlots, tr.TotalSlots)
+	}
+	if err := client.VerifySession(doc, res); err != nil {
+		t.Fatalf("session schedules fail validation: %v", err)
+	}
 }
 
 func TestSessionRingAllReduceKeeps(t *testing.T) {
