@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/qos"
 	"repro/internal/schedule"
 	"repro/internal/service"
@@ -62,9 +61,6 @@ var (
 	storeMaxFlag   = flag.Int("store-max-entries", 0, "store GC: keep at most this many entries (0 = unbounded)")
 	storeAgeFlag   = flag.Duration("store-max-age", 0, "store GC: expire entries older than this (0 = unbounded)")
 	deltaBoundFlag = flag.Float64("delta-bound", 0, "accept an incrementally patched schedule when its degree is within this factor of the from-scratch estimate (0 = default 1.5)")
-
-	reconfigPerSlotFlag = flag.Int("reconfig-perslot", core.DefaultReconfigCost.PerSlot, "register-load slots charged per TDM slot entry at a /session phase boundary")
-	reconfigBarrierFlag = flag.Int("reconfig-barrier", core.DefaultReconfigCost.Barrier, "barrier slots charged when any register write occurs at a /session phase boundary")
 
 	selfFlag        = flag.String("self", "", "this node's advertised base URL in cluster mode (e.g. http://10.0.0.1:8080)")
 	peersFlag       = flag.String("peers", "", "comma-separated base URLs of every cluster member including self; empty = standalone")
@@ -98,7 +94,6 @@ func main() {
 		StoreMaxEntries: *storeMaxFlag,
 		StoreMaxAge:     *storeAgeFlag,
 		DeltaBound:      *deltaBoundFlag,
-		Reconfig:        core.ReconfigCost{PerSlot: *reconfigPerSlotFlag, Barrier: *reconfigBarrierFlag},
 	})
 	check(err)
 	if *storeDirFlag != "" {

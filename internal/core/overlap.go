@@ -45,7 +45,9 @@ type BoundaryEval struct {
 	Comm int
 	// Baseline is what the paper's model charges the phase when it is
 	// compiled and loaded independently: ReconfigCost.Cost of the scratch
-	// schedule's degree plus the scratch schedule's communication time.
+	// schedule's degree plus the scratch schedule's communication time. An
+	// unchanged phase has the previous phase's scratch schedule, so it
+	// repeats the previous Baseline.
 	Baseline int
 }
 
@@ -88,53 +90,34 @@ func covers(res *schedule.Result, msgs []sim.Message) bool {
 	return true
 }
 
-// PatchWorthwhile is the gate in front of the patch candidate: patching is
+// patchWorthwhile is the gate in front of the patch candidate: patching is
 // only meaningful when the incoming pattern is mostly the running one — the
 // same half-size cutoff the store's nearest-base lookup uses. Beyond it the
 // "touched registers" advantage is gone by construction and first-fit
 // insertion only degrades quality. A zero diff needs no patch (keep covers
 // it).
-func PatchWorthwhile(prev *schedule.Result, target request.Set) bool {
-	if prev == nil {
-		return false
-	}
+func patchWorthwhile(prev *schedule.Result, target request.Set) bool {
 	d := delta.Compute(delta.Requests(prev), target)
 	return d.Size() > 0 && d.Size()*2 <= len(target)
 }
 
-// ChooseSchedule decides keep/patch/recompile for the phase boundary from a
+// ChooseFrom decides keep/patch/recompile for the phase boundary from a
 // running schedule prev (whose phase communicated for prevComm slots) into
 // the phase carrying msgs. scratch is the phase's scratch-compiled schedule
-// (the recompile candidate — callers that resolve schedules through a store
-// pass whatever they resolved). Candidates are priced with the overlap
-// model (register delta, idle-slot hiding, barrier) plus the simulated
-// communication time on the candidate's schedule, and the cheapest wins;
-// ties break toward keep, then patch, so the decision is deterministic.
+// (the recompile candidate) and patched the patch candidate, nil to drop
+// it. Candidates are priced with the overlap model (register delta,
+// idle-slot hiding, barrier) plus the simulated communication time on the
+// candidate's schedule, and the cheapest wins; ties break toward keep, then
+// patch, so the decision is deterministic. Keep is priced only when prev
+// covers every message.
 //
 // prev == nil (cold start) always recompiles.
-func ChooseSchedule(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch *schedule.Result, rc ReconfigCost) (BoundaryEval, error) {
-	var patched *schedule.Result
-	if prev != nil && PatchWorthwhile(prev, requestsOf(msgs)) {
-		// Patch failures (unroutable insertions on a masked view,
-		// degenerate bases) just drop the candidate — recompile always
-		// remains available.
-		if q, _, err := delta.Patch(prev, prev.Topology, requestsOf(msgs)); err == nil {
-			patched = q
-		}
-	}
-	return ChooseFrom(prev, prevComm, msgs, scratch, patched, rc)
-}
-
-// ChooseFrom is ChooseSchedule with a caller-supplied patch candidate —
-// the /session serving path produces it through a live delta.Session
-// (byte-identical to delta.Patch, cheaper across a stream of boundaries)
-// and hands it in here. patched may be nil to drop the candidate.
 func ChooseFrom(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch, patched *schedule.Result, rc ReconfigCost) (BoundaryEval, error) {
 	if scratch == nil {
-		return BoundaryEval{}, fmt.Errorf("core: ChooseSchedule needs a scratch schedule")
+		return BoundaryEval{}, fmt.Errorf("core: ChooseFrom needs a scratch schedule")
 	}
 	if len(msgs) == 0 {
-		return BoundaryEval{}, fmt.Errorf("core: ChooseSchedule: phase has no messages")
+		return BoundaryEval{}, fmt.Errorf("core: ChooseFrom: phase has no messages")
 	}
 	engine := sim.NewCompiledSim()
 	recomp, err := evalCandidate(engine, prev, prevComm, scratch, msgs, rc)
@@ -173,7 +156,7 @@ func ChooseFrom(prev *schedule.Result, prevComm int, msgs []sim.Message, scratch
 }
 
 // SameMessages reports whether two phases carry the identical message
-// list — the unchanged-boundary test gating KeepUnchanged.
+// list — the unchanged-boundary test of Planner.Step.
 func SameMessages(a, b []sim.Message) bool {
 	if len(a) != len(b) {
 		return false
@@ -186,44 +169,105 @@ func SameMessages(a, b []sim.Message) bool {
 	return true
 }
 
-// KeepUnchanged is the fast path for a boundary whose message list is
-// identical to the running phase's: the running schedule serves the exact
-// pattern it was just serving, so it is kept with zero register writes and
-// the phase repeats the previous communication time — no scratch compile
-// or patch candidate is priced at all. This is where a multi-phase serving
-// path recovers the paper's amortization: iterative programs (collectives,
-// stencil loops) repeat a phase many times and pay compilation once.
-// Baseline charges what serving the phase independently would: a full
-// register load of the kept schedule plus its communication time.
-func KeepUnchanged(prev *schedule.Result, prevComm int, rc ReconfigCost) BoundaryEval {
-	return BoundaryEval{
-		Decision: DecisionKeep,
-		Schedule: prev,
-		Comm:     prevComm,
-		Baseline: rc.Cost(prev.Degree()) + prevComm,
-	}
+// patchCandidateBound effectively disables delta's degree-quality gate for
+// the patch candidate: the cost model arbitrates quality itself (a bad
+// patch loses on simulated communication time).
+const patchCandidateBound = 1e9
+
+// Planner is the keep/patch/recompile loop over a phase sequence — the one
+// PlanOverlap and the /session serving path both step. It holds the running
+// schedule and its communication time, the live delta.Session producing
+// patch candidates, and the running totals.
+//
+// A Planner is not safe for concurrent use.
+type Planner struct {
+	rc ReconfigCost
+
+	prev                   *schedule.Result
+	prevMsgs               []sim.Message
+	prevComm, prevBaseline int
+
+	// sess holds the colored schedule the patch candidates come from. It is
+	// re-anchored on the running schedule whenever the decision did not
+	// serve its output (it then holds a schedule the network never loaded).
+	sess      *delta.Session
+	sessHolds *schedule.Result
+
+	// Total is the overlap-aware plan time (stall + comm summed),
+	// Serialized the same schedules with serialized register loading, and
+	// Baseline the paper's model: every phase fully loads its scratch
+	// schedule.
+	Total, Serialized, Baseline int
 }
 
-func requestsOf(msgs []sim.Message) request.Set {
-	set := make(request.Set, len(msgs))
-	for i, m := range msgs {
-		set[i] = m.Request()
+// NewPlanner starts a plan priced under rc.
+func NewPlanner(rc ReconfigCost) *Planner { return &Planner{rc: rc} }
+
+// Step decides the boundary into ph and advances the plan. A static phase
+// whose message list equals the previous phase's keeps the running
+// schedule outright: zero register writes, the previous communication time
+// and the previous Baseline, and scratch is never called — this is where
+// an iterative program pays compilation once. Otherwise scratch supplies
+// the recompile candidate, the live session a patch candidate for a static
+// phase, and ChooseFrom picks. Dynamic phases are never patched: their
+// pattern is unknown to the compiler.
+func (pl *Planner) Step(ph Phase, scratch func() (*schedule.Result, error)) (BoundaryEval, error) {
+	var ev BoundaryEval
+	if pl.prev != nil && !ph.Dynamic && SameMessages(ph.Messages, pl.prevMsgs) {
+		ev = BoundaryEval{Decision: DecisionKeep, Schedule: pl.prev, Comm: pl.prevComm, Baseline: pl.prevBaseline}
+	} else {
+		cand, err := scratch()
+		if err != nil {
+			return BoundaryEval{}, err
+		}
+		var patched *schedule.Result
+		if pl.prev != nil && !ph.Dynamic {
+			patched = pl.patch(ph.Requests())
+		}
+		if ev, err = ChooseFrom(pl.prev, pl.prevComm, ph.Messages, cand, patched, pl.rc); err != nil {
+			return BoundaryEval{}, err
+		}
 	}
-	return set.Dedup()
+	pl.Total += ev.Slots()
+	pl.Serialized += ev.SerializedStall + ev.Comm
+	pl.Baseline += ev.Baseline
+	pl.prev, pl.prevMsgs, pl.prevComm, pl.prevBaseline = ev.Schedule, ph.Messages, ev.Comm, ev.Baseline
+	return ev, nil
 }
 
-// PlannedPhase is one phase of an overlap-aware execution plan.
+// patch returns the patch candidate for target, or nil when patching is not
+// worthwhile or fails (recompile always remains available).
+func (pl *Planner) patch(target request.Set) *schedule.Result {
+	if !patchWorthwhile(pl.prev, target) {
+		return nil
+	}
+	if pl.sess == nil || pl.sessHolds != pl.prev {
+		sess, err := delta.NewSession(pl.prev.Topology, pl.prev, delta.Options{Bound: patchCandidateBound})
+		if err != nil {
+			pl.sess = nil
+			return nil
+		}
+		pl.sess = sess
+	}
+	res, st, err := pl.sess.Recompile(target)
+	if err != nil {
+		pl.sess = nil
+		return nil
+	}
+	pl.sessHolds = res
+	if !st.Patched {
+		return nil
+	}
+	return res
+}
+
+// PlannedPhase is one phase of an overlap-aware execution plan: the
+// boundary decision with its accounting, and the switch program of the
+// chosen schedule.
 type PlannedPhase struct {
-	Name     string
-	Decision Decision
-	Schedule *schedule.Result
-	Program  *switchprog.Program
-	// Stall/Hidden/SerializedStall/Comm are the phase's accounting from
-	// the authoritative sim.RunProgram pass over the chosen schedules.
-	Stall           int
-	Hidden          int
-	SerializedStall int
-	Comm            int
+	Name string
+	BoundaryEval
+	Program *switchprog.Program
 }
 
 // OverlapPlan is a compiled program's overlap-aware execution plan: per
@@ -242,99 +286,36 @@ type OverlapPlan struct {
 	Baseline int
 }
 
-// PlanOverlap runs the keep/patch/recompile decision over every phase
-// boundary of the compiled program and prices the resulting plan with the
-// sim-level accounting path. The first phase always pays its cold-start
-// load serialized.
+// PlanOverlap steps a Planner over every phase of the compiled program,
+// each phase's compiled schedule serving as its recompile candidate. The
+// first phase always pays its cold-start load serialized.
 func (cp *CompiledProgram) PlanOverlap(rc ReconfigCost) (*OverlapPlan, error) {
 	if len(cp.Phases) == 0 {
 		return nil, fmt.Errorf("core: empty compiled program")
 	}
 	plan := &OverlapPlan{Phases: make([]PlannedPhase, len(cp.Phases))}
-	specs := make([]sim.PhaseSpec, len(cp.Phases))
-	var prev *schedule.Result
+	pl := NewPlanner(rc)
 	var prevProg *switchprog.Program
-	prevComm := 0
 	for i := range cp.Phases {
 		ph := &cp.Phases[i]
-		var ev BoundaryEval
-		var err error
-		switch {
-		case i == 0:
-			ev, err = ChooseSchedule(nil, 0, ph.Phase.Messages, ph.Schedule, rc)
-		case SameMessages(ph.Phase.Messages, cp.Phases[i-1].Phase.Messages):
-			ev = KeepUnchanged(prev, prevComm, rc)
-		default:
-			ev, err = ChooseSchedule(prev, prevComm, ph.Phase.Messages, ph.Schedule, rc)
-		}
+		ev, err := pl.Step(ph.Phase, func() (*schedule.Result, error) { return ph.Schedule, nil })
 		if err != nil {
 			return nil, fmt.Errorf("core: phase %q: %w", ph.Phase.Name, err)
 		}
-		pp := PlannedPhase{Name: ph.Phase.Name, Decision: ev.Decision, Schedule: ev.Schedule}
+		pp := PlannedPhase{Name: ph.Phase.Name, BoundaryEval: ev}
 		switch ev.Decision {
 		case DecisionKeep:
 			pp.Program = prevProg
 		case DecisionRecompile:
 			pp.Program = ph.Program
 		default:
-			sp, err := switchprog.Compile(ev.Schedule)
-			if err != nil {
+			if pp.Program, err = switchprog.Compile(ev.Schedule); err != nil {
 				return nil, fmt.Errorf("core: phase %q: lowering patched schedule: %w", ph.Phase.Name, err)
 			}
-			pp.Program = sp
 		}
 		plan.Phases[i] = pp
-		specs[i] = sim.PhaseSpec{Schedule: ev.Schedule, Messages: ph.Phase.Messages}
-		prev, prevProg, prevComm = ev.Schedule, pp.Program, ev.Comm
+		prevProg = pp.Program
 	}
-	run, err := sim.RunProgram(specs, rc.PerSlot, rc.Barrier, true)
-	if err != nil {
-		return nil, fmt.Errorf("core: pricing plan: %w", err)
-	}
-	for i, c := range run.Costs {
-		plan.Phases[i].Stall = c.Stall
-		plan.Phases[i].Hidden = c.Hidden
-		plan.Phases[i].SerializedStall = c.SerializedStall
-		plan.Phases[i].Comm = c.Comm
-	}
-	plan.Total = run.Total
-	plan.Serialized = run.Serialized
-	baseline, _, err := cp.IterationTime(rc)
-	if err != nil {
-		return nil, err
-	}
-	plan.Baseline = baseline
+	plan.Total, plan.Serialized, plan.Baseline = pl.Total, pl.Serialized, pl.Baseline
 	return plan, nil
-}
-
-// Specs returns the plan's phases as sim.PhaseSpecs, the input of the
-// sim-level accounting path (and of the overlapped-vs-serialized
-// differential tests).
-func (p *OverlapPlan) Specs(prog Program) []sim.PhaseSpec {
-	specs := make([]sim.PhaseSpec, len(p.Phases))
-	for i := range p.Phases {
-		specs[i] = sim.PhaseSpec{Schedule: p.Phases[i].Schedule, Messages: prog.Phases[i].Messages}
-	}
-	return specs
-}
-
-// IterationTimeOverlapped is IterationTime under the overlap model: the
-// same per-phase schedules (no keep/patch decisions), but register loads
-// for phase i+1 that target switches idle in phase i's TDM slots are
-// charged overlapped, with the barrier only on the non-hidden remainder.
-// The breakdown pairs are (stall, comm) per phase.
-func (cp *CompiledProgram) IterationTimeOverlapped(rc ReconfigCost) (total int, breakdown [][2]int, err error) {
-	specs := make([]sim.PhaseSpec, len(cp.Phases))
-	for i := range cp.Phases {
-		specs[i] = sim.PhaseSpec{Schedule: cp.Phases[i].Schedule, Messages: cp.Phases[i].Phase.Messages}
-	}
-	run, err := sim.RunProgram(specs, rc.PerSlot, rc.Barrier, true)
-	if err != nil {
-		return 0, nil, fmt.Errorf("core: %w", err)
-	}
-	breakdown = make([][2]int, len(run.Costs))
-	for i, c := range run.Costs {
-		breakdown[i] = [2]int{c.Stall, c.Comm}
-	}
-	return run.Total, breakdown, nil
 }

@@ -39,17 +39,32 @@ func mustSchedule(t *testing.T, topo network.Topology, reqs request.Set) *schedu
 	return res
 }
 
-// Identical phase pair: the previous schedule covers the pattern with zero
-// register writes, so keep must win.
+// stepAfter steps a Planner through a first phase prevMsgs served by prev
+// (skipped when prev is nil), then into msgs with scratch as the recompile
+// candidate, and returns the second boundary's evaluation.
+func stepAfter(t *testing.T, prev *schedule.Result, prevMsgs, msgs []sim.Message, scratch *schedule.Result) BoundaryEval {
+	t.Helper()
+	pl := NewPlanner(DefaultReconfigCost)
+	if prev != nil {
+		if _, err := pl.Step(Phase{Messages: prevMsgs}, func() (*schedule.Result, error) { return prev, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev, err := pl.Step(Phase{Messages: msgs}, func() (*schedule.Result, error) { return scratch, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// Identical circuit set, new volumes: the previous schedule covers the
+// pattern with zero register writes, so the priced keep must win.
 func TestChooseScheduleIdenticalKeeps(t *testing.T) {
 	topo := topology.NewRing(8)
 	msgs := ringPhaseMsgs(8, 4)
 	prev := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
 	scratch := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
-	ev, err := ChooseSchedule(prev, 10, msgs, scratch, DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := stepAfter(t, prev, msgs, ringPhaseMsgs(8, 6), scratch)
 	if ev.Decision != DecisionKeep {
 		t.Fatalf("identical pattern decided %q, want keep", ev.Decision)
 	}
@@ -71,10 +86,7 @@ func TestChooseScheduleOneCircuitChangedPatches(t *testing.T) {
 	msgs := append([]sim.Message(nil), prevMsgs[1:]...)
 	msgs = append(msgs, sim.Message{Src: 0, Dst: 2, Flits: 4})
 	scratch := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
-	ev, err := ChooseSchedule(prev, 10, msgs, scratch, DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := stepAfter(t, prev, prevMsgs, msgs, scratch)
 	if ev.Decision != DecisionPatch {
 		t.Fatalf("one-circuit change decided %q (stall %d comm %d), want patch", ev.Decision, ev.Stall, ev.Comm)
 	}
@@ -93,16 +105,14 @@ func TestChooseScheduleOneCircuitChangedPatches(t *testing.T) {
 // so the decision must be recompile (and use the scratch schedule).
 func TestChooseScheduleDisjointRecompiles(t *testing.T) {
 	topo := topology.NewRing(16)
-	prev := mustSchedule(t, topo, Phase{Messages: ringPhaseMsgs(16, 4)}.Requests())
+	prevMsgs := ringPhaseMsgs(16, 4)
+	prev := mustSchedule(t, topo, Phase{Messages: prevMsgs}.Requests())
 	msgs := make([]sim.Message, 0, 8)
 	for i := 0; i < 16; i += 2 {
 		msgs = append(msgs, sim.Message{Src: i, Dst: (i + 3) % 16, Flits: 4})
 	}
 	scratch := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
-	ev, err := ChooseSchedule(prev, 10, msgs, scratch, DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := stepAfter(t, prev, prevMsgs, msgs, scratch)
 	if ev.Decision != DecisionRecompile {
 		t.Fatalf("disjoint pattern decided %q, want recompile", ev.Decision)
 	}
@@ -116,10 +126,7 @@ func TestChooseScheduleColdStartRecompiles(t *testing.T) {
 	topo := topology.NewRing(8)
 	msgs := ringPhaseMsgs(8, 4)
 	scratch := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
-	ev, err := ChooseSchedule(nil, 0, msgs, scratch, DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := stepAfter(t, nil, nil, msgs, scratch)
 	if ev.Decision != DecisionRecompile {
 		t.Fatalf("cold start decided %q, want recompile", ev.Decision)
 	}
@@ -166,44 +173,40 @@ func TestPlanOverlapRingLoopKeepsAndWins(t *testing.T) {
 	}
 }
 
-func TestIterationTimeOverlappedNeverWorse(t *testing.T) {
-	topo := topology.NewTorus(4, 4)
-	prog := Program{Name: "mixed"}
-	// Three phases: ring, same ring again, transpose-ish shift.
-	prog.Phases = append(prog.Phases, ringProgram(16, 2, 4).Phases...)
-	shift := Phase{Name: "shift"}
-	for i := 0; i < 16; i++ {
-		shift.Messages = append(shift.Messages, sim.Message{Src: i, Dst: (i + 5) % 16, Flits: 4})
-	}
-	prog.Phases = append(prog.Phases, shift)
-	cp, err := Compiler{Topology: topo}.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serTotal, serBrk, err := cp.IterationTime(DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ovTotal, ovBrk, err := cp.IterationTimeOverlapped(DefaultReconfigCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serBrk) != len(ovBrk) {
-		t.Fatalf("breakdown lengths differ: %d vs %d", len(serBrk), len(ovBrk))
-	}
-	for i := range serBrk {
-		if serBrk[i][1] != ovBrk[i][1] {
-			t.Fatalf("phase %d comm differs: %d vs %d", i, serBrk[i][1], ovBrk[i][1])
+// An unchanged phase keeps the running schedule without asking for a
+// scratch compile, and repeats the previous phase's baseline even when the
+// running schedule is a patch.
+func TestPlannerUnchangedPhaseRepeatsBaseline(t *testing.T) {
+	topo := topology.NewRing(16)
+	ring := ringPhaseMsgs(16, 4)
+	drift := append([]sim.Message{{Src: 0, Dst: 2, Flits: 4}}, ring[1:]...)
+	pl := NewPlanner(DefaultReconfigCost)
+	var evs []BoundaryEval
+	for _, msgs := range [][]sim.Message{ring, drift} {
+		scratch := mustSchedule(t, topo, Phase{Messages: msgs}.Requests())
+		ev, err := pl.Step(Phase{Messages: msgs}, func() (*schedule.Result, error) { return scratch, nil })
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ovBrk[i][0] > serBrk[i][0] {
-			t.Fatalf("phase %d overlapped stall %d exceeds full reconfig %d", i, ovBrk[i][0], serBrk[i][0])
-		}
+		evs = append(evs, ev)
 	}
-	if ovTotal > serTotal {
-		t.Fatalf("overlapped %d exceeds serialized %d", ovTotal, serTotal)
+	if evs[1].Decision != DecisionPatch {
+		t.Fatalf("drifted phase decided %q, want patch", evs[1].Decision)
 	}
-	// The duplicated ring phase shares every circuit: strictly cheaper.
-	if ovTotal == serTotal {
-		t.Fatal("circuit-sharing phases must make overlap strictly cheaper")
+	ev, err := pl.Step(Phase{Messages: drift}, func() (*schedule.Result, error) {
+		t.Fatal("unchanged phase asked for a scratch schedule")
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Decision != DecisionKeep || ev.Schedule != evs[1].Schedule || ev.Stall != 0 || ev.Comm != evs[1].Comm {
+		t.Fatalf("unchanged phase = %+v, want a free keep of the patched schedule", ev)
+	}
+	if ev.Baseline != evs[1].Baseline {
+		t.Fatalf("unchanged phase baseline %d, want the previous phase's %d", ev.Baseline, evs[1].Baseline)
+	}
+	if want := evs[0].Baseline + 2*evs[1].Baseline; pl.Baseline != want {
+		t.Fatalf("planner baseline %d, want %d", pl.Baseline, want)
 	}
 }

@@ -26,8 +26,6 @@ func (rc ReconfigCost) Cost(degree int) int {
 	return rc.PerSlot*degree + rc.Barrier
 }
 
-func (rc ReconfigCost) cost(degree int) int { return rc.Cost(degree) }
-
 // IterationTime simulates one full iteration of the compiled program: each
 // phase pays its reconfiguration cost (registers + barrier) and then runs
 // its messages under compiled communication. It returns the total slots
@@ -39,7 +37,7 @@ func (cp *CompiledProgram) IterationTime(rc ReconfigCost) (total int, breakdown 
 		if err != nil {
 			return 0, nil, fmt.Errorf("core: phase %q: %w", ph.Phase.Name, err)
 		}
-		re := rc.cost(ph.Degree())
+		re := rc.Cost(ph.Degree())
 		breakdown = append(breakdown, [2]int{re, out.Time})
 		total += re + out.Time
 	}

@@ -389,12 +389,9 @@ func intList(vs []int) string {
 	return strings.Join(parts, ",")
 }
 
-// VerifySession proves a session result correct against its trace. A
-// "keep" phase reuses the previous phase's (possibly larger) circuit set,
-// so it is checked like a fallback phase — the configs must be
-// conflict-free among themselves and every request of the phase must hold
-// a slot. Patch and recompile phases serve exactly the phase's pattern and
-// get the full exact-multiset Validate.
+// VerifySession proves a session result correct against its trace, phase
+// by phase like Verify. A "keep" phase reuses the previous phase's
+// (possibly larger) circuit set, so it is checked like a fallback phase.
 func VerifySession(doc trace.Document, res *SessionResult) error {
 	base, err := topology.Parse(res.Header.Topology)
 	if err != nil {
@@ -407,43 +404,7 @@ func VerifySession(doc trace.Document, res *SessionResult) error {
 		if ph.Result == nil {
 			return fmt.Errorf("client: verify session phase %d: no result", i)
 		}
-		want := make(request.Set, 0, len(doc.Phases[i].Messages))
-		for _, m := range doc.Phases[i].Messages {
-			want = append(want, request.Request{Src: network.NodeID(m.Src), Dst: network.NodeID(m.Dst)})
-		}
-		want = want.Dedup()
-		configs := make([]request.Set, len(ph.Result.Configs))
-		slot := make(map[request.Request]int)
-		own := make(request.Set, 0, len(want))
-		for k, c := range ph.Result.Configs {
-			configs[k] = make(request.Set, len(c))
-			for j, pair := range c {
-				q := request.Request{Src: network.NodeID(pair[0]), Dst: network.NodeID(pair[1])}
-				configs[k][j] = q
-				slot[q] = k
-				own = append(own, q)
-			}
-		}
-		rebuilt := &schedule.Result{
-			Algorithm: ph.Result.Algorithm,
-			Topology:  base,
-			Configs:   configs,
-			Slot:      slot,
-		}
-		if ph.Decision == "keep" || ph.Result.Fallback {
-			// Conflict-freedom over the kept circuits, coverage for the
-			// phase's own pattern.
-			if err := rebuilt.Validate(own); err != nil {
-				return fmt.Errorf("client: verify session phase %q: %w", ph.Result.Name, err)
-			}
-			for _, q := range want {
-				if _, ok := slot[q]; !ok {
-					return fmt.Errorf("client: verify session phase %q: kept schedule has no slot for %v", ph.Result.Name, q)
-				}
-			}
-			continue
-		}
-		if err := rebuilt.Validate(want); err != nil {
+		if err := verifyPhase(base, doc.Phases[i], ph.Result, ph.Decision == "keep"); err != nil {
 			return fmt.Errorf("client: verify session phase %q: %w", ph.Result.Name, err)
 		}
 	}
@@ -452,11 +413,8 @@ func VerifySession(doc trace.Document, res *SessionResult) error {
 
 // Verify proves a compile result correct against the trace that produced
 // it: it rebuilds the topology named in the result (applying the echoed
-// fault mask for recompile results), reconstructs every non-fallback
-// phase's schedule.Result, and runs Validate — every request scheduled
-// exactly once, no conflicting circuits in any slot. Fallback phases are
-// checked for coverage instead: every request of the phase must hold a slot
-// in the predetermined configuration set.
+// fault mask for recompile results) and checks every phase with
+// verifyPhase.
 func Verify(doc trace.Document, res *service.Result) error {
 	base, err := topology.Parse(res.Topology)
 	if err != nil {
@@ -477,40 +435,52 @@ func Verify(doc trace.Document, res *service.Result) error {
 	if len(res.Phases) != len(doc.Phases) {
 		return fmt.Errorf("client: verify: result has %d phases, trace has %d", len(res.Phases), len(doc.Phases))
 	}
-	for i, ph := range res.Phases {
-		want := make(request.Set, 0, len(doc.Phases[i].Messages))
-		for _, m := range doc.Phases[i].Messages {
-			want = append(want, request.Request{Src: network.NodeID(m.Src), Dst: network.NodeID(m.Dst)})
+	for i := range res.Phases {
+		if err := verifyPhase(topo, doc.Phases[i], &res.Phases[i], false); err != nil {
+			return fmt.Errorf("client: verify phase %q: %w", res.Phases[i].Name, err)
 		}
-		want = want.Dedup()
-		configs := make([]request.Set, len(ph.Configs))
-		slot := make(map[request.Request]int)
-		for k, c := range ph.Configs {
-			configs[k] = make(request.Set, len(c))
-			for j, pair := range c {
-				q := request.Request{Src: network.NodeID(pair[0]), Dst: network.NodeID(pair[1])}
-				configs[k][j] = q
-				slot[q] = k
-			}
+	}
+	return nil
+}
+
+// verifyPhase rebuilds one phase's schedule.Result on topo and validates it
+// against the phase's trace. A phase served by more circuits than its own
+// pattern — the predetermined fallback set, or a schedule kept from the
+// previous phase (kept) — must be conflict-free over all of its circuits
+// and hold a slot for every request of the phase. Every other phase must
+// serve exactly the phase's pattern: every request scheduled exactly once,
+// no conflicting circuits in any slot.
+func verifyPhase(topo network.Topology, tp trace.Phase, ph *service.PhaseResult, kept bool) error {
+	want := make(request.Set, 0, len(tp.Messages))
+	for _, m := range tp.Messages {
+		want = append(want, request.Request{Src: network.NodeID(m.Src), Dst: network.NodeID(m.Dst)})
+	}
+	want = want.Dedup()
+	rebuilt := &schedule.Result{
+		Algorithm: ph.Algorithm,
+		Topology:  topo,
+		Configs:   make([]request.Set, len(ph.Configs)),
+		Slot:      make(map[request.Request]int),
+	}
+	var own request.Set
+	for k, c := range ph.Configs {
+		rebuilt.Configs[k] = make(request.Set, len(c))
+		for j, pair := range c {
+			q := request.Request{Src: network.NodeID(pair[0]), Dst: network.NodeID(pair[1])}
+			rebuilt.Configs[k][j] = q
+			rebuilt.Slot[q] = k
+			own = append(own, q)
 		}
-		if ph.Fallback {
-			// The predetermined configuration set covers every pair; the
-			// phase's own requests must each hold a slot.
-			for _, q := range want {
-				if _, ok := slot[q]; !ok {
-					return fmt.Errorf("client: verify phase %q: fallback set has no slot for %v", ph.Name, q)
-				}
-			}
-			continue
-		}
-		rebuilt := &schedule.Result{
-			Algorithm: ph.Algorithm,
-			Topology:  topo,
-			Configs:   configs,
-			Slot:      slot,
-		}
-		if err := rebuilt.Validate(want); err != nil {
-			return fmt.Errorf("client: verify phase %q: %w", ph.Name, err)
+	}
+	if !kept && !ph.Fallback {
+		return rebuilt.Validate(want)
+	}
+	if err := rebuilt.Validate(own); err != nil {
+		return err
+	}
+	for _, q := range want {
+		if _, ok := rebuilt.Slot[q]; !ok {
+			return fmt.Errorf("schedule has no slot for %v", q)
 		}
 	}
 	return nil

@@ -25,10 +25,11 @@ import (
 //     preloaded into the LRU at boot, so a restarted daemon serves
 //     byte-identical hits with zero pipeline invocations;
 //   - per-phase schedules are written under store.BaseKey as delta base
-//     material; /compile reuses an exact base verbatim or patches the
-//     nearest one, and /recompile rebases a healthy base onto the fault
-//     mask instead of running fault.Recompile from scratch — keeping the
-//     same switch-program lowering and light-trace verification.
+//     material; resolvePhase — behind /compile, /recompile and /session —
+//     reuses an exact base verbatim or patches the nearest one, and on a
+//     fault mask rebases a healthy base onto the masked view instead of
+//     running fault.Recompile from scratch, keeping the same switch-program
+//     lowering and light-trace verification.
 
 // maxBaseCandidates bounds the per-topology candidate list of the
 // nearest-base index. Diffing a target against every candidate is linear in
@@ -173,14 +174,8 @@ func (b *baseIndex) nearest(topoName string, target request.Set, exclude string)
 	return bestKey, true
 }
 
-// storeGetArtifact reads a whole-program artifact back from the store.
-func (s *Server) storeGetArtifact(key string) (json.RawMessage, bool) {
-	raw, _, ok := s.storeGetArtifactOwned(key)
-	return raw, ok
-}
-
-// storeGetArtifactOwned is storeGetArtifact plus the entry's owner tag
-// ("" is the default tenant).
+// storeGetArtifactOwned reads a whole-program artifact back from the store,
+// with the entry's owner tag ("" is the default tenant).
 func (s *Server) storeGetArtifactOwned(key string) (json.RawMessage, string, bool) {
 	if s.store == nil {
 		return nil, "", false
@@ -317,148 +312,101 @@ func (s *Server) saveBase(key, topoName string, res *schedule.Result, reqs reque
 	}
 }
 
-// compileHealthy compiles a program on the healthy topology. Without a
-// store it is exactly core.Compiler.Compile; with one, each static phase is
-// resolved through the store — exact stored schedule reused verbatim,
-// nearest stored base patched by the delta recompiler (full compile when
-// the patch misses the quality bound) — and written back as future base
-// material. Dynamic phases take the AAPC fallback either way.
-func (s *Server) compileHealthy(p *parsedRequest) (*core.CompiledProgram, error) {
-	if s.store == nil {
-		return core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(p.prog)
+// compileProgram compiles a request's program in one walk over one view:
+// the healthy topology, or the shared masked view of the request's fault
+// mask (its route-cache table is shared across requests carrying the same
+// mask, so a persistent failure is routed once, not once per request).
+// Dynamic phases take the predetermined AAPC configuration set computed on
+// the view, static phases resolve through resolvePhase, and every phase is
+// lowered to its switch program.
+func (s *Server) compileProgram(p *parsedRequest) (*core.CompiledProgram, error) {
+	var view network.Topology = p.topo
+	if p.faults != nil && !p.faults.Empty() {
+		view = s.maskedViews.view(p.topoName, p.topo, p.faults)
 	}
-	out := &core.CompiledProgram{Program: p.prog}
-	for _, ph := range p.prog.Phases {
-		if ph.Dynamic || len(ph.Messages) == 0 {
-			one, err := core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(
-				core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-			if err != nil {
-				return nil, err
-			}
-			out.Phases = append(out.Phases, one.Phases[0])
-			continue
-		}
-		res, err := s.schedulePhase(p, ph.Requests())
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
-		}
-		sp, err := switchprog.Compile(res)
-		if err != nil {
-			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
-		}
-		out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
-	}
-	return out, nil
-}
-
-// schedulePhase resolves one static phase's schedule through the store.
-func (s *Server) schedulePhase(p *parsedRequest, reqs request.Set) (*schedule.Result, error) {
-	res, _, err := s.resolvePhase(p, reqs)
-	return res, err
-}
-
-// resolvePhase resolves one static phase's schedule, reporting how: "hit"
-// (stored schedule of exactly this pattern reused verbatim), "patched"
-// (nearest stored base patched by the delta recompiler), or "miss" (full
-// compile — also the only path without a store). This is /compile's
-// per-phase store resolution and /session's recompile-candidate source.
-func (s *Server) resolvePhase(p *parsedRequest, reqs request.Set) (*schedule.Result, string, error) {
-	if s.store == nil {
-		res, err := p.scheduler.Schedule(p.topo, reqs)
-		if err != nil {
-			return nil, "", err
-		}
-		return res, CacheMiss, nil
-	}
-	key := store.BaseKey(reqs, p.topoName, p.schedName)
-	if res := s.loadBase(key, p.topo, reqs); res != nil {
-		s.metrics.observeDelta(true, false)
-		return res, CacheHit, nil
-	}
-	var base *schedule.Result
-	if candKey, ok := s.bases.nearest(p.topoName, reqs, key); ok {
-		base = s.loadBase(candKey, p.topo, nil)
-	}
-	res, st, err := delta.Recompile(p.topo, base, reqs, delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler})
-	if err != nil {
-		return nil, "", err
-	}
-	s.metrics.observeDelta(false, st.Patched)
-	s.saveBase(key, p.topoName, res, reqs)
-	if st.Patched {
-		return res, CachePatched, nil
-	}
-	return res, CacheMiss, nil
-}
-
-// compileMasked compiles a program against a fault-masked topology. Static
-// phases prefer the delta path — rebase a stored healthy schedule onto the
-// masked view — and fall back to fault.Recompile (scheduling on the masked
-// view from scratch) when no usable base exists. Both paths end in
-// switch-program lowering and light-trace verification that the degraded
-// programs drive the surviving hardware correctly. Dynamic phases fall back
-// to the predetermined AAPC configuration set recomputed on the masked
-// topology. The masked view (and its route-cache table) is shared across
-// requests carrying the same fault mask via the bounded masked-view cache,
-// so a persistent failure is routed once, not once per request.
-func (s *Server) compileMasked(p *parsedRequest) (*core.CompiledProgram, error) {
-	masked := s.maskedViews.view(p.topoName, p.topo, p.faults)
-	out := &core.CompiledProgram{Program: p.prog}
-	for _, ph := range p.prog.Phases {
+	out := &core.CompiledProgram{Program: p.prog, Phases: make([]core.CompiledPhase, len(p.prog.Phases))}
+	for i, ph := range p.prog.Phases {
+		cp := &out.Phases[i]
+		*cp = core.CompiledPhase{Phase: ph, UsedFallback: ph.Dynamic}
+		var err error
 		if ph.Dynamic {
-			one, err := core.Compiler{Topology: masked, Scheduler: p.scheduler}.Compile(
-				core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-			if err != nil {
-				return nil, err
-			}
-			out.Phases = append(out.Phases, one.Phases[0])
-			continue
+			cp.Schedule, err = core.FallbackSchedule(view)
+		} else {
+			cp.Schedule, cp.Program, _, err = s.resolvePhase(p, view, ph.Requests())
 		}
-		reqs := ph.Requests()
-		if res, sp, ok := s.deltaMasked(masked, p, reqs); ok {
-			out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
-			continue
+		if err == nil && cp.Program == nil {
+			cp.Program, err = switchprog.Compile(cp.Schedule)
 		}
-		res, sp, err := fault.Recompile(masked, reqs, p.scheduler)
 		if err != nil {
 			return nil, fmt.Errorf("phase %q: %w", ph.Name, err)
 		}
-		out.Phases = append(out.Phases, core.CompiledPhase{Phase: ph, Schedule: res, Program: sp})
 	}
 	return out, nil
 }
 
-// deltaMasked serves one static phase of a fault-masked compile through the
-// incremental recompiler: the stored healthy schedule of the same pattern
-// (or the nearest stored base) is rebased onto the masked view — surviving
-// circuits keep their slots, broken ones detour — and the result is
-// accepted only after the same switch-program lowering and light-trace
-// verification fault.Recompile performs. Any miss or failure returns
-// ok=false and the caller runs the full recovery path.
-func (s *Server) deltaMasked(masked network.Topology, p *parsedRequest, reqs request.Set) (*schedule.Result, *switchprog.Program, bool) {
-	if s.store == nil {
-		return nil, nil, false
-	}
-	base := s.loadBase(store.BaseKey(reqs, p.topoName, p.schedName), p.topo, reqs)
-	if base == nil {
-		if candKey, ok := s.bases.nearest(p.topoName, reqs, ""); ok {
-			base = s.loadBase(candKey, p.topo, nil)
+// resolvePhase resolves one static phase's schedule on view — the healthy
+// topology or a masked view of it — and reports how: "hit" (the stored
+// schedule of exactly this pattern, used verbatim), "patched" (a stored base
+// patched by the delta recompiler) or "miss" (full compile). The exact
+// stored base comes first, then the nearest one, then delta.Recompile;
+// without a store the lookups are skipped and delta.Recompile compiles from
+// scratch. A healthy result is saved back as future base material.
+//
+// On a masked view even an exact base is rebased onto the mask — surviving
+// circuits keep their slots, broken ones detour — and the result is lowered
+// and light-traced here, so prog is non-nil. A missing base or any failure
+// falls back to fault.Recompile, which schedules on the masked view from
+// scratch and runs the same checks.
+func (s *Server) resolvePhase(p *parsedRequest, view network.Topology, reqs request.Set) (*schedule.Result, *switchprog.Program, string, error) {
+	masked, isMasked := view.(*fault.Masked)
+	var key string
+	var base *schedule.Result
+	if s.store != nil {
+		key = store.BaseKey(reqs, p.topoName, p.schedName)
+		if base = s.loadBase(key, p.topo, reqs); base != nil && !isMasked {
+			s.metrics.observeDelta(true, false)
+			return base, nil, CacheHit, nil
+		}
+		if base == nil {
+			if candKey, ok := s.bases.nearest(p.topoName, reqs, key); ok {
+				base = s.loadBase(candKey, p.topo, nil)
+			}
 		}
 	}
-	if base == nil {
-		return nil, nil, false
+	opts := delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler}
+	if !isMasked {
+		res, st, err := delta.Recompile(view, base, reqs, opts)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		if s.store != nil {
+			s.metrics.observeDelta(false, st.Patched)
+			s.saveBase(key, p.topoName, res, reqs)
+		}
+		return res, nil, deltaState(st), nil
 	}
-	res, st, err := delta.Recompile(masked, base, reqs, delta.Options{Bound: s.deltaBound, Scheduler: p.scheduler})
-	if err != nil {
-		return nil, nil, false
+	if base != nil {
+		res, st, err := delta.Recompile(view, base, reqs, opts)
+		var prog *switchprog.Program
+		if err == nil {
+			prog, err = switchprog.Compile(res)
+		}
+		if err == nil {
+			_, err = optics.NewTracer(prog).VerifySchedule(res.Slot)
+		}
+		if err == nil {
+			s.metrics.observeDelta(false, st.Patched)
+			return res, prog, deltaState(st), nil
+		}
 	}
-	prog, err := switchprog.Compile(res)
-	if err != nil {
-		return nil, nil, false
+	res, prog, err := fault.Recompile(masked, reqs, p.scheduler)
+	return res, prog, CacheMiss, err
+}
+
+// deltaState is the per-phase cache state of a delta.Recompile outcome.
+func deltaState(st delta.Stats) string {
+	if st.Patched {
+		return CachePatched
 	}
-	if _, err := optics.NewTracer(prog).VerifySchedule(res.Slot); err != nil {
-		return nil, nil, false
-	}
-	s.metrics.observeDelta(false, st.Patched)
-	return res, prog, true
+	return CacheMiss
 }

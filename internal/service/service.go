@@ -104,11 +104,6 @@ type Config struct {
 	// multiplexing degree is at most DeltaBound x the from-scratch estimate;
 	// 0 means delta.DefaultBound.
 	DeltaBound float64
-
-	// Reconfig is the reconfiguration cost model /session prices its
-	// keep/patch/recompile decisions under; the zero value means
-	// core.DefaultReconfigCost.
-	Reconfig core.ReconfigCost
 }
 
 // Server is the compile service. It implements http.Handler.
@@ -134,7 +129,6 @@ type Server struct {
 	store      *store.Store
 	bases      *baseIndex
 	deltaBound float64
-	reconfig   core.ReconfigCost
 
 	// maskedViews shares fault-masked topology views (and their route
 	// caches) across recompile requests with the same fault mask.
@@ -224,9 +218,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DeltaBound <= 0 {
 		cfg.DeltaBound = delta.DefaultBound
 	}
-	if cfg.Reconfig == (core.ReconfigCost{}) {
-		cfg.Reconfig = core.DefaultReconfigCost
-	}
 	reg, err := qos.NewRegistry(cfg.QoS, qos.Defaults{
 		QueueDepth:   cfg.QueueDepth,
 		RetryAfter:   cfg.RetryAfter,
@@ -247,7 +238,6 @@ func New(cfg Config) (*Server, error) {
 		metrics:    newMetricsState(),
 		bases:      newBaseIndex(),
 		deltaBound: cfg.DeltaBound,
-		reconfig:   cfg.Reconfig,
 	}
 	for _, c := range reg.Classes() {
 		s.cache.configure(c.Name, c.CacheEntries)
@@ -613,7 +603,7 @@ func (s *Server) serve(p *parsedRequest, build func() (json.RawMessage, error)) 
 	}
 	// An artifact evicted from memory — or compiled by a previous process —
 	// is a disk read, not a pipeline invocation.
-	if v, ok := s.storeGetArtifact(key); ok {
+	if v, _, ok := s.storeGetArtifactOwned(key); ok {
 		s.cache.Add(key, p.tenant, v)
 		return v, CacheStore, nil
 	}
@@ -675,13 +665,7 @@ func (s *Server) serve(p *parsedRequest, build func() (json.RawMessage, error)) 
 // Result. This is the unit of work the cache, the singleflight group and
 // the worker pool all guard.
 func (s *Server) buildArtifact(p *parsedRequest) (json.RawMessage, error) {
-	var cp *core.CompiledProgram
-	var err error
-	if p.faults == nil || p.faults.Empty() {
-		cp, err = s.compileHealthy(p)
-	} else {
-		cp, err = s.compileMasked(p)
-	}
+	cp, err := s.compileProgram(p)
 	if err != nil {
 		return nil, compileError{err}
 	}
@@ -720,25 +704,32 @@ func buildResult(cp *core.CompiledProgram, pes int, topoName, schedName string, 
 			return nil, fmt.Errorf("predicting phase %q: %w", ph.Phase.Name, err)
 		}
 		total += core.DefaultReconfigCost.Cost(ph.Degree()) + out.Time
-		configs := make([][]Pair, len(ph.Schedule.Configs))
-		for k, c := range ph.Schedule.Configs {
-			configs[k] = make([]Pair, len(c))
-			for j, q := range c {
-				configs[k][j] = Pair{int(q.Src), int(q.Dst)}
-			}
-		}
-		res.Phases = append(res.Phases, PhaseResult{
-			Name:           ph.Phase.Name,
-			Dynamic:        ph.Phase.Dynamic,
-			Fallback:       ph.UsedFallback,
-			Algorithm:      ph.Schedule.Algorithm,
-			Degree:         ph.Degree(),
-			PredictedSlots: out.Time,
-			Configs:        configs,
-		})
+		res.Phases = append(res.Phases, phaseResult(ph.Phase, ph.Schedule, out.Time))
 	}
 	res.TotalSlots = total
 	return res, nil
+}
+
+// phaseResult renders one phase served by sched, predicted to communicate
+// for slots, to the wire shape. Dynamic phases are served by the AAPC
+// fallback set.
+func phaseResult(ph core.Phase, sched *schedule.Result, slots int) PhaseResult {
+	configs := make([][]Pair, len(sched.Configs))
+	for k, c := range sched.Configs {
+		configs[k] = make([]Pair, len(c))
+		for j, q := range c {
+			configs[k][j] = Pair{int(q.Src), int(q.Dst)}
+		}
+	}
+	return PhaseResult{
+		Name:           ph.Name,
+		Dynamic:        ph.Dynamic,
+		Fallback:       ph.Dynamic,
+		Algorithm:      sched.Algorithm,
+		Degree:         sched.Degree(),
+		PredictedSlots: slots,
+		Configs:        configs,
+	}
 }
 
 // handleMetrics serves GET /metrics.

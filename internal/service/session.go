@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/delta"
 	"repro/internal/schedule"
 )
 
@@ -21,18 +20,11 @@ import (
 // base store lookup plus the core keep/patch/recompile decision — so the
 // compile of the next phase pipelines with the serving of the current one.
 //
-// The per-boundary state (the running schedule, its communication time, a
-// live delta.Session holding the colored schedule) lives in the producer
-// goroutine only; one session occupies exactly one worker-pool slot for
-// its whole duration, so admission control applies to sessions the same
-// way it applies to single compiles.
-
-// sessionDeltaBound effectively disables delta's degree-quality gate for
-// the patch *candidate*: the cost model arbitrates quality itself (a bad
-// patch loses on simulated communication time), and keeping the candidate
-// a pure patch keeps /session byte-identical to core.ChooseSchedule's
-// stateless delta.Patch.
-const sessionDeltaBound = 1e9
+// The per-boundary state is a core.Planner — the same keep/patch/recompile
+// loop core.PlanOverlap steps — and lives in the producer goroutine only;
+// one session occupies exactly one worker-pool slot for its whole duration,
+// so admission control applies to sessions the same way it applies to
+// single compiles.
 
 // handleSession serves POST /session.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -128,86 +120,40 @@ type sessionMsg struct {
 	err   error
 }
 
-// runSession is the producer: it walks the phase sequence, resolves each
-// phase's recompile candidate through the store, runs the keep/patch/
-// recompile decision against the running schedule, and emits one chunk per
+// runSession is the producer: it steps a planner through the phase
+// sequence, each changed phase's recompile candidate resolved through
+// resolvePhase (store included) without lowering, and emits one chunk per
 // phase plus the trailer.
 func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *atomic.Int64) {
-	emit := func(c SessionChunk, err error) {
-		ch <- sessionMsg{c, err}
-	}
-	rc := s.reconfig
-	var prev *schedule.Result
-	prevComm := 0
-	// The live colored schedule producing patch candidates. It is
-	// re-anchored whenever the decision did not serve its output (the
-	// session structure then holds a schedule the network never loaded).
-	var patchSess *delta.Session
-	sessHolds := (*schedule.Result)(nil)
+	pl := core.NewPlanner(core.DefaultReconfigCost)
 	decisions := make(map[string]int, 3)
 	pipelined := 0
-	totalSlots, serializedSlots, baselineSlots := 0, 0, 0
 	for i, ph := range p.prog.Phases {
 		if i > 0 && flushed.Load() < int64(i-1) {
 			// The previous phase's chunk is not on the wire yet: this
 			// compile overlaps serving it.
 			pipelined++
 		}
-		var ev core.BoundaryEval
-		var cacheState string
-		if prev != nil && !ph.Dynamic && core.SameMessages(ph.Messages, p.prog.Phases[i-1].Messages) {
-			// Unchanged phase: keep the running schedule outright, no
-			// candidate resolution. This is the amortization an iterative
-			// program buys from a session — N identical phases, one compile.
-			ev = core.KeepUnchanged(prev, prevComm, rc)
-			cacheState = CacheUnchanged
-		} else {
+		cacheState := CacheUnchanged
+		ev, err := pl.Step(ph, func() (*schedule.Result, error) {
 			if s.compileHook != nil {
 				s.compileHook(p.key)
 			}
-			scratch, state, err := s.resolveSessionPhase(p, ph)
-			if err != nil {
-				emit(SessionChunk{}, compileError{fmt.Errorf("phase %q: %w", ph.Name, err)})
-				return
+			if ph.Dynamic {
+				cacheState = CacheMiss
+				return core.FallbackSchedule(p.topo)
 			}
+			res, _, state, err := s.resolvePhase(p, p.topo, ph.Requests())
 			cacheState = state
-			var patched *schedule.Result
-			if prev != nil && !ph.Dynamic && core.PatchWorthwhile(prev, ph.Requests()) {
-				if patchSess == nil || sessHolds != prev {
-					patchSess, err = delta.NewSession(p.topo, prev, delta.Options{Bound: sessionDeltaBound, Scheduler: p.scheduler})
-					if err != nil {
-						patchSess = nil
-					}
-				}
-				if patchSess != nil {
-					if res, st, err := patchSess.Recompile(ph.Requests()); err == nil {
-						sessHolds = res
-						if st.Patched {
-							patched = res
-						}
-					} else {
-						patchSess = nil
-					}
-				}
-			}
-			ev, err = core.ChooseFrom(prev, prevComm, ph.Messages, scratch, patched, rc)
-			if err != nil {
-				emit(SessionChunk{}, compileError{fmt.Errorf("phase %q: %w", ph.Name, err)})
-				return
-			}
+			return res, err
+		})
+		if err != nil {
+			ch <- sessionMsg{err: compileError{fmt.Errorf("phase %q: %w", ph.Name, err)}}
+			return
 		}
 		decisions[string(ev.Decision)]++
-		totalSlots += ev.Stall + ev.Comm
-		serializedSlots += ev.SerializedStall + ev.Comm
-		baselineSlots += ev.Baseline
-		configs := make([][]Pair, len(ev.Schedule.Configs))
-		for k, c := range ev.Schedule.Configs {
-			configs[k] = make([]Pair, len(c))
-			for j, q := range c {
-				configs[k][j] = Pair{int(q.Src), int(q.Dst)}
-			}
-		}
-		emit(SessionChunk{
+		res := phaseResult(ph, ev.Schedule, ev.Comm)
+		ch <- sessionMsg{chunk: SessionChunk{
 			Type:            SessionChunkPhase,
 			Index:           i,
 			Decision:        string(ev.Decision),
@@ -215,40 +161,16 @@ func (s *Server) runSession(p *parsedRequest, ch chan<- sessionMsg, flushed *ato
 			Stall:           ev.Stall,
 			Hidden:          ev.Hidden,
 			SerializedStall: ev.SerializedStall,
-			Result: &PhaseResult{
-				Name:           ph.Name,
-				Dynamic:        ph.Dynamic,
-				Fallback:       ph.Dynamic,
-				Algorithm:      ev.Schedule.Algorithm,
-				Degree:         ev.Schedule.Degree(),
-				PredictedSlots: ev.Comm,
-				Configs:        configs,
-			},
-		}, nil)
-		prev, prevComm = ev.Schedule, ev.Comm
+			Result:          &res,
+		}}
 	}
-	emit(SessionChunk{
+	ch <- sessionMsg{chunk: SessionChunk{
 		Type:              SessionChunkDone,
-		TotalSlots:        totalSlots,
-		SerializedSlots:   serializedSlots,
-		BaselineSlots:     baselineSlots,
+		TotalSlots:        pl.Total,
+		SerializedSlots:   pl.Serialized,
+		BaselineSlots:     pl.Baseline,
 		Reconfigurations:  len(p.prog.Phases),
 		PipelinedCompiles: pipelined,
 		Decisions:         decisions,
-	}, nil)
-}
-
-// resolveSessionPhase produces the recompile candidate for one phase:
-// dynamic phases take the AAPC fallback, static ones resolve through the
-// store (exact stored schedule, nearest-base patch, full compile).
-func (s *Server) resolveSessionPhase(p *parsedRequest, ph core.Phase) (*schedule.Result, string, error) {
-	if ph.Dynamic {
-		one, err := core.Compiler{Topology: p.topo, Scheduler: p.scheduler}.Compile(
-			core.Program{Name: p.prog.Name, Phases: []core.Phase{ph}})
-		if err != nil {
-			return nil, "", err
-		}
-		return one.Phases[0].Schedule, CacheMiss, nil
-	}
-	return s.resolvePhase(p, ph.Requests())
+	}}
 }

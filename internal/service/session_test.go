@@ -64,15 +64,16 @@ func mixedDoc(t *testing.T) trace.Document {
 
 // moeDriftDoc is a drifting top-2 MoE dispatch on 64 ranks: round 0 is the
 // collective.MoEAllToAll dispatch, and each later round moves one selected
-// expert of three ranks, the way a learned gate drifts between steps.
-func moeDriftDoc(t *testing.T, rounds int) trace.Document {
+// expert of three ranks (drawn from seed), the way a learned gate drifts
+// between steps.
+func moeDriftDoc(t *testing.T, rounds int, seed int64) trace.Document {
 	t.Helper()
 	coll, err := collective.MoEAllToAll(64, 2, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msgs := coll.Program(4).Phases[0].Messages
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(seed))
 	prog := core.Program{Name: "moe-drift"}
 	for r := 0; r < rounds; r++ {
 		if r > 0 {
@@ -85,6 +86,19 @@ func moeDriftDoc(t *testing.T, rounds int) trace.Document {
 		prog.Phases = append(prog.Phases, core.Phase{Name: fmt.Sprintf("moe dispatch %d", r), Messages: msgs})
 	}
 	return trace.FromProgram(prog, 64)
+}
+
+// repeatRounds sends every phase of doc twice in a row, the shape of an
+// iterative program that reuses each dispatch once before the gate moves.
+func repeatRounds(doc trace.Document) trace.Document {
+	phases := make([]trace.Phase, 0, 2*len(doc.Phases))
+	for _, ph := range doc.Phases {
+		again := ph
+		again.Name += " again"
+		phases = append(phases, ph, again)
+	}
+	doc.Phases = phases
+	return doc
 }
 
 // newExpert draws an expert for rank src that it neither is nor selects.
@@ -107,7 +121,7 @@ func newExpert(rng *rand.Rand, msgs []sim.Message, src int) int {
 // overlapped plan is shorter than the serialized one.
 func TestSessionMoEDriftHidesReconfiguration(t *testing.T) {
 	_, c := newTestServer(t, service.Config{})
-	doc := moeDriftDoc(t, 6)
+	doc := moeDriftDoc(t, 6, 1)
 	res, err := c.Session(context.Background(), doc, client.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -219,10 +233,13 @@ func TestSessionMixedDecisions(t *testing.T) {
 // TestSessionMatchesPlanOverlap is the differential test of the acceptance
 // criterion: a storeless daemon's /session stream must make byte-identical
 // decisions and serve byte-identical schedules to the in-process
-// core.PlanOverlap on the same canonicalized program.
+// core.PlanOverlap on the same canonicalized program. The repeated MoE
+// drift (seed 66) serves unchanged phases right after patched ones, where
+// the patched schedule's degree differs from the phase's scratch compile:
+// both paths must charge the baseline of the scratch schedule.
 func TestSessionMatchesPlanOverlap(t *testing.T) {
 	_, c := newTestServer(t, service.Config{})
-	for _, doc := range []trace.Document{mixedDoc(t), ringAllReduceDoc(t, 6)} {
+	for _, doc := range []trace.Document{mixedDoc(t), ringAllReduceDoc(t, 6), repeatRounds(moeDriftDoc(t, 8, 66))} {
 		res, err := c.Session(context.Background(), doc, client.Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -277,6 +294,10 @@ func TestSessionMatchesPlanOverlap(t *testing.T) {
 		}
 		if res.Trailer.BaselineSlots != plan.Baseline {
 			t.Fatalf("%s: trailer baseline %d != plan baseline %d", doc.Name, res.Trailer.BaselineSlots, plan.Baseline)
+		}
+		// Every phase compiled and fully loaded on its own.
+		if base, _, err := cp.IterationTime(core.DefaultReconfigCost); err != nil || plan.Baseline != base {
+			t.Fatalf("%s: plan baseline %d != IterationTime %d (%v)", doc.Name, plan.Baseline, base, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/network"
@@ -244,95 +243,4 @@ func OverlapStall(prev *schedule.Result, prevComm int, load PhaseLoad, perSlot, 
 	}
 	stall = worst + barrier
 	return stall, serialized - stall, nil
-}
-
-// PhaseSpec is one phase of a compiled multi-phase program handed to
-// RunProgram: the schedule chosen for the phase (by keep, patch, or
-// recompile — RunProgram does not decide) and the phase's messages.
-type PhaseSpec struct {
-	Schedule *schedule.Result
-	Messages []Message
-}
-
-// PhaseCost is the accounting of one phase inside a program run.
-type PhaseCost struct {
-	// Stall is the reconfiguration stall charged before the phase.
-	Stall int
-	// Hidden is the number of stall slots hidden under the previous
-	// phase's communication (zero in serialized runs).
-	Hidden int
-	// SerializedStall is what the same register load would have cost with
-	// no overlap.
-	SerializedStall int
-	// Comm is the phase's communication time on its schedule.
-	Comm int
-}
-
-// ProgramResult reports a multi-phase program run.
-type ProgramResult struct {
-	// Total is the iteration time: sum of every phase's stall plus
-	// communication.
-	Total int
-	// Serialized is the same plan charged with serialized register
-	// loading — identical schedules, identical message delivery, no
-	// hiding.
-	Serialized int
-	// Costs holds the per-phase accounting.
-	Costs []PhaseCost
-	// Finish holds each phase's per-message delivery slots (phase-local
-	// clock), exactly as RunCompiled would report them.
-	Finish [][]int
-}
-
-// RunProgram executes a compiled phase sequence and charges the
-// reconfiguration between consecutive phases either serialized
-// (overlap=false: every boundary pays SerializedStall) or overlap-aware
-// (overlap=true: register loads hide under the previous phase's
-// communication). The message delivery and the schedules are identical in
-// both modes — only the stall accounting differs; the differential tests
-// pin that down. The first phase always pays its cold-start load
-// serialized.
-func RunProgram(specs []PhaseSpec, perSlot, barrier int, overlap bool) (*ProgramResult, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("sim: empty program")
-	}
-	out := &ProgramResult{
-		Costs:  make([]PhaseCost, len(specs)),
-		Finish: make([][]int, len(specs)),
-	}
-	engine := NewCompiledSim()
-	var prev *schedule.Result
-	prevComm := 0
-	for i, spec := range specs {
-		if spec.Schedule == nil {
-			return nil, fmt.Errorf("sim: program phase %d has no schedule", i)
-		}
-		load, err := RegisterDelta(prev, spec.Schedule)
-		if err != nil {
-			return nil, fmt.Errorf("sim: program phase %d: %w", i, err)
-		}
-		cost := PhaseCost{SerializedStall: SerializedStall(load, perSlot, barrier)}
-		if overlap {
-			cost.Stall, cost.Hidden, err = OverlapStall(prev, prevComm, load, perSlot, barrier)
-			if err != nil {
-				return nil, fmt.Errorf("sim: program phase %d: %w", i, err)
-			}
-		} else {
-			cost.Stall = cost.SerializedStall
-		}
-		var res CompiledResult
-		if err := engine.RunInto(spec.Schedule, spec.Messages, TDM, &res); err != nil {
-			return nil, fmt.Errorf("sim: program phase %d: %w", i, err)
-		}
-		cost.Comm = res.Time
-		out.Costs[i] = cost
-		finish := make([]int, len(res.Finish))
-		copy(finish, res.Finish)
-		out.Finish[i] = finish
-		out.Total += cost.Stall + cost.Comm
-		out.Serialized += cost.SerializedStall + cost.Comm
-		prev = spec.Schedule
-		prevComm = cost.Comm
-	}
-	return out, nil
 }
