@@ -208,14 +208,10 @@ func (n *Node) pull(peer, key string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: fetch answered %d", resp.StatusCode)
 	}
-	if !json.Valid(body) {
-		return fmt.Errorf("cluster: fetched artifact is not JSON")
-	}
 	// The fetch reply names the owning tenant; the local copy is billed to
 	// the same class so replication cannot launder one tenant's footprint
-	// into another's partition.
-	n.svc.ArtifactPutOwned(key, resp.Header.Get(qos.TenantHeader), json.RawMessage(body))
-	return nil
+	// into another's partition. Bytes that are not JSON install nothing.
+	return n.svc.ArtifactPutOwned(key, resp.Header.Get(qos.TenantHeader), body)
 }
 
 // pick returns a pseudo-random index in [0, n) from the node's own

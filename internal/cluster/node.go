@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/qos"
 	"repro/internal/service"
+	"repro/internal/wire"
 )
 
 // DefaultReplication is the replica-set size R: every key has one owner
@@ -257,8 +259,8 @@ func (n *Node) forward(peer string, pc service.PeerContext) (json.RawMessage, er
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("cluster: %s answered %d: %s", u, resp.StatusCode, truncate(body))
 	}
-	var envelope service.Response
-	if err := json.Unmarshal(body, &envelope); err != nil {
+	envelope, err := service.DecodeResponse(body)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: decoding %s reply: %w", u, err)
 	}
 	if envelope.Key != pc.Key {
@@ -278,7 +280,7 @@ func (n *Node) roundTrip(req *http.Request, timeout time.Duration) (*http.Respon
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
+	body, err := wire.ReadBody(io.LimitReader(resp.Body, maxPeerBody), resp.ContentLength, maxPeerBody)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -324,6 +326,7 @@ func (n *Node) handlePeerFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	n.metrics.peerFetches.Add(1)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	// Ownership replicates with content: the puller bills its copy to the
 	// same tenant, so replication respects per-tenant quotas cluster-wide.
 	w.Header().Set(qos.TenantHeader, tenant)

@@ -1,10 +1,12 @@
 package request
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"hash"
+	"slices"
 )
 
 // Triple is one entry of a canonical communication pattern: a connection
@@ -35,20 +37,24 @@ func (s Set) Triples(flits int) []Triple {
 func CanonicalTriples(ts []Triple) []Triple {
 	out := make([]Triple, len(ts))
 	copy(out, ts)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.Flits < b.Flits
-	})
+	slices.SortFunc(out, CompareTriples)
 	return out
+}
+
+// CompareTriples orders triples canonically, by (Src, Dst, Start, Flits).
+// Triples that compare equal are identical, so every sort of a multiset
+// yields the same sequence.
+func CompareTriples(a, b Triple) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Flits, b.Flits)
 }
 
 // patternKeyDomain separates PatternKey digests from any other SHA-256 use;
@@ -63,29 +69,85 @@ const patternKeyDomain = "ccomm-pattern-v1"
 // collide only if SHA-256 itself collides, and the triple ordering is
 // canonicalized first, so the key never depends on request order.
 func PatternKey(triples []Triple, topology string, params ...string) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
+	if !slices.IsSortedFunc(triples, CompareTriples) {
+		triples = CanonicalTriples(triples)
 	}
-	writeStr := func(s string) {
-		writeInt(len(s))
-		h.Write([]byte(s))
+	var ph PatternHash
+	ph.Start(topology, len(triples), params...)
+	for _, t := range triples {
+		ph.Add(t)
 	}
-	writeStr(patternKeyDomain)
-	writeStr(topology)
-	writeInt(len(params))
-	for _, p := range params {
-		writeStr(p)
+	return ph.Sum()
+}
+
+// PatternHash computes PatternKey incrementally, for callers that hold the
+// triples in canonical order in some other form and would otherwise copy
+// them: Start, then Add each triple in canonical order, then Sum. Adding
+// out of order yields a key no PatternKey call produces. The zero value is
+// ready to Start, and a PatternHash may be reused after Sum.
+type PatternHash struct {
+	h hash.Hash
+	n int
+	// buf batches the encoding into few hash writes.
+	buf [1024]byte
+}
+
+// Start begins the key of a pattern of count triples on topology.
+func (p *PatternHash) Start(topology string, count int, params ...string) {
+	if p.h == nil {
+		p.h = sha256.New()
 	}
-	canon := CanonicalTriples(triples)
-	writeInt(len(canon))
-	for _, t := range canon {
-		writeInt(t.Src)
-		writeInt(t.Dst)
-		writeInt(t.Flits)
-		writeInt(t.Start)
+	p.h.Reset()
+	p.n = 0
+	p.putStr(patternKeyDomain)
+	p.putStr(topology)
+	p.putInt(len(params))
+	for _, s := range params {
+		p.putStr(s)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	p.putInt(count)
+}
+
+// Add appends the next triple in canonical order.
+func (p *PatternHash) Add(t Triple) {
+	if p.n+32 > len(p.buf) {
+		p.flush()
+	}
+	b := p.buf[p.n : p.n+32]
+	binary.LittleEndian.PutUint64(b[0:], uint64(int64(t.Src)))
+	binary.LittleEndian.PutUint64(b[8:], uint64(int64(t.Dst)))
+	binary.LittleEndian.PutUint64(b[16:], uint64(int64(t.Flits)))
+	binary.LittleEndian.PutUint64(b[24:], uint64(int64(t.Start)))
+	p.n += 32
+}
+
+// Sum returns the hex key.
+func (p *PatternHash) Sum() string {
+	p.flush()
+	return hex.EncodeToString(p.h.Sum(nil))
+}
+
+func (p *PatternHash) flush() {
+	p.h.Write(p.buf[:p.n])
+	p.n = 0
+}
+
+func (p *PatternHash) putInt(v int) {
+	if p.n+8 > len(p.buf) {
+		p.flush()
+	}
+	binary.LittleEndian.PutUint64(p.buf[p.n:], uint64(int64(v)))
+	p.n += 8
+}
+
+func (p *PatternHash) putStr(s string) {
+	p.putInt(len(s))
+	if p.n+len(s) > len(p.buf) {
+		p.flush()
+	}
+	if len(s) > len(p.buf) {
+		p.h.Write([]byte(s))
+		return
+	}
+	p.n += copy(p.buf[p.n:], s)
 }

@@ -122,3 +122,28 @@ func TestCanonicalTriplesDoesNotMutate(t *testing.T) {
 		t.Fatalf("not sorted: %v", out)
 	}
 }
+
+// TestPatternKeyGolden pins PatternKey's encoding: keys are persisted store
+// keys, so the bytes hashed may never change. The triples are out of
+// order, repeat, and use a negative and a wide value; the hash must equal
+// the one the incremental PatternHash gives the canonical order.
+func TestPatternKeyGolden(t *testing.T) {
+	ts := []request.Triple{{9, 1, 3, 7}, {9, 1, 3, 2}, {0, 63, 1, 0}, {9, 1, 2, 2}, {0, 63, 1, 0}, {-1, 5, 1 << 40, 0}}
+	const want = "959a4aeeeca3a3afaab788b00b04381a794e0e7fde59d07d10a872e1db584be6"
+	if got := request.PatternKey(ts, "torus-8x8", "alg=combined", "kind=delta-base"); got != want {
+		t.Fatalf("PatternKey = %s, want %s", got, want)
+	}
+	var ph request.PatternHash
+	for i := 0; i < 2; i++ { // the second round reuses the hasher
+		ph.Start("torus-8x8", len(ts), "alg=combined", "kind=delta-base")
+		for _, tr := range request.CanonicalTriples(ts) {
+			ph.Add(tr)
+		}
+		if got := ph.Sum(); got != want {
+			t.Fatalf("round %d: PatternHash = %s, want %s", i, got, want)
+		}
+	}
+	if got := request.PatternKey(nil, ""); got != "79fed9c1f0dc1e62dd818cfafccc0deea34ddf468dc87642e86f4581f710e02c" {
+		t.Fatalf("empty PatternKey = %s", got)
+	}
+}

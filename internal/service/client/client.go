@@ -27,6 +27,7 @@ import (
 	"repro/internal/service"
 	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Client talks to one compile daemon.
@@ -125,19 +126,20 @@ func (c *Client) post(ctx context.Context, path string, doc trace.Document, opt 
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	const maxReply = 256 << 20
+	data, err := wire.ReadBody(io.LimitReader(resp.Body, maxReply), resp.ContentLength, maxReply)
 	if err != nil {
 		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, decodeError(resp, data)
 	}
-	var envelope service.Response
-	if err := json.Unmarshal(data, &envelope); err != nil {
+	envelope, err := service.DecodeResponse(data)
+	if err != nil {
 		return nil, nil, fmt.Errorf("service: decoding response: %w", err)
 	}
-	var result service.Result
-	if err := json.Unmarshal(envelope.Result, &result); err != nil {
+	result, err := service.DecodeResult(envelope.Result)
+	if err != nil {
 		return nil, nil, fmt.Errorf("service: decoding result: %w", err)
 	}
 	return &envelope, &result, nil
@@ -393,7 +395,7 @@ func intList(vs []int) string {
 // by phase like Verify. A "keep" phase reuses the previous phase's
 // (possibly larger) circuit set, so it is checked like a fallback phase.
 func VerifySession(doc trace.Document, res *SessionResult) error {
-	base, err := topology.Parse(res.Header.Topology)
+	base, err := topology.Shared(res.Header.Topology)
 	if err != nil {
 		return fmt.Errorf("client: verify session: %w", err)
 	}
@@ -416,7 +418,7 @@ func VerifySession(doc trace.Document, res *SessionResult) error {
 // fault mask for recompile results) and checks every phase with
 // verifyPhase.
 func Verify(doc trace.Document, res *service.Result) error {
-	base, err := topology.Parse(res.Topology)
+	base, err := topology.Shared(res.Topology)
 	if err != nil {
 		return fmt.Errorf("client: verify: %w", err)
 	}

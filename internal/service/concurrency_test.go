@@ -40,7 +40,7 @@ func traceBody(t *testing.T, name string) []byte {
 	return buf.Bytes()
 }
 
-func newWhiteboxServer(t *testing.T, cfg Config) *Server {
+func newWhiteboxServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Topology == nil {
 		cfg.Topology = topology.NewTorus(4, 4)

@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/topology"
@@ -54,5 +55,33 @@ func TestParseColonSpec(t *testing.T) {
 		if topo.Name() != want {
 			t.Fatalf("Parse(%q).Name() = %q, want %q", spec, topo.Name(), want)
 		}
+	}
+}
+
+// TestSharedInternsByName: one value per name, errors as Parse gives them,
+// and past the bound fresh values rather than evictions.
+func TestSharedInternsByName(t *testing.T) {
+	a, err := topology.Shared("torus-6x6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := topology.Shared("torus-6x6"); b != a {
+		t.Fatal("same name returned two values")
+	}
+	if _, err := topology.Shared("klein-8"); err == nil {
+		t.Fatal("bad name accepted")
+	}
+	for n := 3; n < 40; n++ {
+		name := fmt.Sprintf("ring-%d", n)
+		x, err := topology.Shared(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.Name() != name {
+			t.Fatalf("%s parsed as %s", name, x.Name())
+		}
+	}
+	if b, _ := topology.Shared("torus-6x6"); b != a {
+		t.Fatal("an interned value was evicted")
 	}
 }
